@@ -16,6 +16,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 INT8_MAX = 127
+#: Smallest scale handed to the divide: ``amax / 127`` underflows to zero
+#: in float32 for a subnormal ``amax``.
+_MIN_SCALE = np.finfo(np.float32).tiny
 
 
 def quantize_symmetric(
@@ -30,11 +33,13 @@ def quantize_symmetric(
     x = np.asarray(x, dtype=np.float32)
     if axis is None:
         amax = np.max(np.abs(x))
-        scale = np.float32(amax / INT8_MAX) if amax > 0 else np.float32(1.0)
+        scale = (np.float32(max(amax / INT8_MAX, _MIN_SCALE)) if amax > 0
+                 else np.float32(1.0))
     else:
         reduce_axes = tuple(i for i in range(x.ndim) if i != axis)
         amax = np.max(np.abs(x), axis=reduce_axes, keepdims=True)
-        scale = np.where(amax > 0, amax / INT8_MAX, 1.0).astype(np.float32)
+        scale = np.where(amax > 0, np.maximum(amax / INT8_MAX, _MIN_SCALE),
+                         1.0).astype(np.float32)
     q = np.clip(np.rint(x / scale), -INT8_MAX, INT8_MAX).astype(np.int8)
     return q, scale
 

@@ -3,14 +3,20 @@
 Decoder-only generation keeps a per-request key/value cache that grows by
 one position per generated token and dies only when the request completes.
 That lifetime shape is the opposite of the per-request intermediate
-tensors Algorithm 1 was designed for — regions persist *across* many
-decode steps — yet the same chunked machinery applies: the arena holds one
-:class:`~repro.memory.turbo.TurboAllocator` whose chunks back every live
-request's KV region, and every membership or size change re-runs the
-paper's length-aware planning (Alg. 1) over the live regions, so layout
-quality and chunk reuse come from the exact code path the BERT serving
-stack uses (including its plan cache: a steady-state decode batch replans
-only when membership changes, and repeated shapes replay cached plans).
+tensors Algorithm 1 was designed for: KV state lives in uniform pages that
+persist *across* many decode steps and are all live at once.  Packing
+equal-sized, simultaneously-live blocks needs no length-aware planning,
+so the arena's layout is a slot list — one slot per resident page — and
+every mutation is O(1) integer bookkeeping (the same fixed-slot design
+LightSeq uses for its preallocated state).
+
+Algorithm 1 stays available as an **audit view**: :meth:`KVCacheArena.plan`
+runs the paper's length-aware planner over the resident pages on demand
+(a fresh :class:`~repro.memory.turbo.TurboAllocator`, so the layout is a
+pure function of the resident set), caching the result until the
+resident set next changes.  ``verify()`` and ``python -m repro check``
+audit that plan with the same MEM2xx machinery as inference plans; no
+simulated time depends on it.
 
 Capacity model (what bounds the decode batch instead of ``max_batch``):
 
@@ -43,19 +49,16 @@ random-write allocator needs would buy at most one page per fork here
 while making the no-overflow accounting probabilistic.
 
 ``verify()`` runs the repo's memory-plan verifier
-(:func:`repro.analysis.memory_checks.check_plan`) over the arena's latest
-plan plus the page-refcount conservation audit behind the MEM224
-diagnostic; ``python -m repro check`` drives a scripted arena episode
-through it.
+(:func:`repro.analysis.memory_checks.check_plan`) over :meth:`plan` plus
+the page-refcount conservation audit behind the MEM224 diagnostic;
+``python -m repro check`` drives a scripted arena episode through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..gpusim.memory import DeviceMemory
-from .chunk import DEFAULT_CHUNK_SIZE
 from .plan import AllocationPlan
 from .records import TensorUsageRecord
 from .turbo import TurboAllocator
@@ -116,13 +119,14 @@ class KVRegion:
     req_id: int
     tokens: int             # KV positions written so far (prompt + generated)
     worst_case_tokens: int  # page-rounded bound the region may grow to
+    page_tokens: int        # the arena's page size (every page holds this)
     pages: List[KVPage] = field(default_factory=list)
     shared_tokens: int = 0  # immutable shared prefix (page-aligned)
 
     @property
     def reserved_tokens(self) -> int:
         """Page-rounded footprint this region references (shared + private)."""
-        return sum(p.tokens for p in self.pages)
+        return len(self.pages) * self.page_tokens
 
 
 class KVCacheArena:
@@ -135,18 +139,14 @@ class KVCacheArena:
     bytes_per_token:
         Per-token KV footprint (see :func:`kv_bytes_per_token`).
     page_tokens:
-        Reservation granularity; regions grow a page at a time, so the
-        length-aware re-plan runs once per page, not once per token.
+        Reservation granularity; regions grow a page at a time.
     high_watermark:
         Admission gate as a fraction of capacity; the remainder is growth
         headroom.
-    device_memory / chunk_size / release_after / plan_cache-behaviour:
-        Forwarded to the backing :class:`TurboAllocator`; chunks released
-        after sitting unused keep malloc churn in check exactly as in the
-        encoder serving path.
     metrics:
         Optional :class:`repro.observability.MetricsRegistry`; publishes
-        admission/denial/release/replan counters and a used-bytes gauge.
+        admission/denial/release/preemption/restore counters and a
+        used-bytes gauge.
     """
 
     def __init__(
@@ -155,9 +155,6 @@ class KVCacheArena:
         bytes_per_token: int,
         page_tokens: int = 16,
         high_watermark: float = 0.9,
-        device_memory: Optional[DeviceMemory] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        release_after: Optional[int] = 4,
         metrics=None,
     ) -> None:
         if capacity_bytes <= 0:
@@ -175,11 +172,6 @@ class KVCacheArena:
         self.page_tokens = page_tokens
         self.high_watermark = high_watermark
         self.metrics = metrics
-        self._allocator = TurboAllocator(
-            device_memory if device_memory is not None else DeviceMemory(),
-            chunk_size=chunk_size,
-            release_after=release_after,
-        )
         self._regions: Dict[int, KVRegion] = {}  # insertion-ordered
         self._pages: Dict[int, KVPage] = {}      # resident, allocation order
         self._next_page_id = 0
@@ -190,12 +182,14 @@ class KVCacheArena:
         self._resident_tokens = 0     # distinct resident page tokens
         self._growth_tokens = 0       # sum of worst_case - reserved (regions)
         self._reclaimable_tokens = 0  # pages held only by the prefix index
-        self.last_plan: Optional[AllocationPlan] = None
-        self.last_records: List[TensorUsageRecord] = []
+        # Alg. 1 audit view of the resident pages; dropped whenever the
+        # resident set changes and rebuilt by ``plan()`` on demand.
+        self._plan: Optional[
+            Tuple[AllocationPlan, List[TensorUsageRecord]]] = None
+        self._mutations = 0  # x axis of the used-bytes gauge series
         self.admissions = 0
         self.denials = 0
         self.releases = 0
-        self.replans = 0
         self.preemptions = 0
         self.restores = 0
         self.forks = 0
@@ -300,6 +294,7 @@ class KVCacheArena:
         if page.refcount == 0:
             del self._pages[page.page_id]
             self._resident_tokens -= page.tokens
+            self._plan = None
 
     def index_ref(self, page: KVPage) -> None:
         """The prefix index takes a reference on a resident page."""
@@ -336,6 +331,7 @@ class KVCacheArena:
         self._next_page_id += 1
         self._pages[page.page_id] = page
         self._resident_tokens += page.tokens
+        self._plan = None
         return page
 
     def _validated_shared(self, shared_pages: Sequence[KVPage],
@@ -416,6 +412,7 @@ class KVCacheArena:
             req_id=req_id,
             tokens=tokens,
             worst_case_tokens=self._pages_tokens(max_total_tokens),
+            page_tokens=self.page_tokens,
             pages=pages,
             shared_tokens=shared,
         )
@@ -431,8 +428,8 @@ class KVCacheArena:
         A successful admission attaches ``shared_pages`` (a resident,
         page-aligned prompt prefix — typically the longest
         :class:`~repro.memory.prefix_index.RadixPrefixIndex` match) by
-        refcount, allocates private pages for the remainder of the
-        page-rounded prompt, and re-plans the arena layout.
+        refcount and allocates private pages for the remainder of the
+        page-rounded prompt.
         """
         if req_id in self._regions:
             raise KVArenaError(f"request {req_id} already has a KV region")
@@ -446,7 +443,7 @@ class KVCacheArena:
         self.admissions += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_admissions_total").inc()
-        self._replan()
+        self._settle()
         if _arena_hooks:
             _notify(self, "admit", req_id, prompt_tokens)
         return True
@@ -482,7 +479,7 @@ class KVCacheArena:
         self._materialize(child_req_id, parent.tokens, max_total_tokens,
                           shared_pages)
         self.forks += 1
-        self._replan()
+        self._settle()
         if _arena_hooks:
             _notify(self, "admit", child_req_id, parent.tokens)
         return True
@@ -492,10 +489,10 @@ class KVCacheArena:
     def append(self, req_id: int, tokens: int = 1) -> None:
         """Grow a region by ``tokens`` generated positions.
 
-        Growing past the current reservation extends it a page at a time
-        (triggering the length-aware re-plan); the admission-time
-        worst-case bound guarantees the extension fits — reclaiming
-        index-only pages on the way if the arena is at capacity.
+        Growing past the current reservation extends it a page at a time;
+        the admission-time worst-case bound guarantees the extension fits
+        — reclaiming index-only pages on the way if the arena is at
+        capacity.
         """
         if tokens <= 0:
             raise ValueError(f"tokens must be positive, got {tokens}")
@@ -512,7 +509,7 @@ class KVCacheArena:
             self._growth_tokens -= self.page_tokens
             grew = True
         if grew:
-            self._replan()
+            self._settle()
         if _arena_hooks:
             _notify(self, "append", req_id, tokens)
 
@@ -526,14 +523,14 @@ class KVCacheArena:
         return region
 
     def release(self, req_id: int) -> None:
-        """Free a completed request's pages (refcount-zero ones only) and
-        re-plan the survivors.  Pages the prefix index or a sibling region
-        still references stay resident."""
+        """Free a completed request's pages (refcount-zero ones only).
+        Pages the prefix index or a sibling region still references stay
+        resident."""
         tokens = self._drop_region(req_id).tokens
         self.releases += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_releases_total").inc()
-        self._replan()
+        self._settle()
         if _arena_hooks:
             _notify(self, "release", req_id, tokens)
 
@@ -556,7 +553,7 @@ class KVCacheArena:
         self.preemptions += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_preemptions_total").inc()
-        self._replan()
+        self._settle()
         if _arena_hooks:
             _notify(self, "preempt", req_id, tokens)
         return tokens
@@ -583,55 +580,58 @@ class KVCacheArena:
         self.restores += 1
         if self.metrics is not None:
             self.metrics.counter("kv_arena_restores_total").inc()
-        self._replan()
+        self._settle()
         if _arena_hooks:
             _notify(self, "restore", req_id, tokens)
         return True
 
-    # -- planning -------------------------------------------------------------
+    # -- bookkeeping / planning -----------------------------------------------
 
-    def _replan(self) -> None:
-        """Re-run Algorithm 1 over the distinct resident pages.
+    def _settle(self) -> None:
+        """End-of-mutation bookkeeping: peak residency and the used-bytes
+        gauge, sampled after every admit / fork / page-crossing append /
+        release / preempt / restore."""
+        self._mutations += 1
+        used = self.used_bytes
+        if used > self.peak_used_bytes:
+            self.peak_used_bytes = used
+        if self.metrics is not None:
+            self.metrics.gauge("kv_arena_used_bytes").set(
+                used, t=self._mutations
+            )
+
+    def plan(self) -> Tuple[AllocationPlan, List[TensorUsageRecord]]:
+        """Algorithm 1 over the distinct resident pages: ``(plan, records)``.
 
         Every resident page overlaps every other in time (all live for
         the current decode step), so the records share one [0, 1]
         lifetime — the planner must place them byte-disjoint, which is
-        exactly the aliasing invariant ``repro check`` verifies.  Records
-        are position-indexed (``kv/page000000`` …), not identity-indexed,
-        so runs with the same page count replay one cached plan.
+        exactly the aliasing invariant ``verify()`` audits.  Records are
+        slot-indexed (``kv/page000000`` …) in allocation order.  Built on
+        a fresh :class:`TurboAllocator`, so the layout depends only on
+        the resident pages, and cached until the resident set changes.
         """
-        self.last_records = [
-            TensorUsageRecord(
-                name=f"kv/page{slot:06d}",
-                first_op=0,
-                last_op=1,
-                size=page.tokens * self.bytes_per_token,
-            )
-            for slot, page in enumerate(self._pages.values())
-        ]
-        if self.last_records:
-            self.last_plan = self._allocator.plan(self.last_records)
-        else:
-            # Nothing live: clear chunk residency without planning zero
-            # records (the release grace period still retires idle chunks
-            # on the next non-empty plan).
-            for chunk in self._allocator.chunks:
-                chunk.clear()
-            self.last_plan = AllocationPlan(placements={}, chunk_sizes={})
-        self.replans += 1
-        self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes)
-        if self.metrics is not None:
-            self.metrics.counter("kv_arena_replans_total").inc()
-            self.metrics.gauge("kv_arena_used_bytes").set(
-                self.used_bytes, t=self.replans
-            )
+        if self._plan is None:
+            records = [
+                TensorUsageRecord(
+                    name=f"kv/page{slot:06d}",
+                    first_op=0,
+                    last_op=1,
+                    size=page.tokens * self.bytes_per_token,
+                )
+                for slot, page in enumerate(self._pages.values())
+            ]
+            plan = (TurboAllocator().plan(records) if records
+                    else AllocationPlan(placements={}, chunk_sizes={}))
+            self._plan = (plan, records)
+        return self._plan
 
     def verify(self, live_req_ids: Optional[List[int]] = None) -> List[str]:
         """Memory-plan + refcount-conservation verifier (empty == clean).
 
         Three audits:
 
-        * the allocation-plan checks over the latest page layout;
+        * the allocation-plan checks over :meth:`plan`;
         * **refcount conservation** (MEM224): every resident page's
           refcount must equal the number of regions referencing it plus
           its index reference, no resident page may sit at refcount zero,
@@ -642,13 +642,10 @@ class KVCacheArena:
           still legitimately in flight — an empty set at end of run
           asserts the arena drained completely.
         """
-        messages: List[str] = []
-        if self.last_plan is not None:
-            # Imported lazily: repro.analysis depends on repro.memory.
-            from ..analysis.memory_checks import check_plan
+        # Imported lazily: repro.analysis depends on repro.memory.
+        from ..analysis.memory_checks import check_plan
 
-            messages.extend(d.message for d in check_plan(self.last_plan,
-                                                          self.last_records))
+        messages = [d.message for d in check_plan(*self.plan())]
         # Refcount conservation: recompute every page's references from
         # the ground truth (regions + index) and compare.
         expected: Dict[int, int] = {pid: 0 for pid in self._pages}
@@ -719,7 +716,6 @@ class KVCacheArena:
             "admissions": self.admissions,
             "denials": self.denials,
             "releases": self.releases,
-            "replans": self.replans,
             "preemptions": self.preemptions,
             "restores": self.restores,
             "forks": self.forks,
@@ -727,8 +723,6 @@ class KVCacheArena:
             "used_bytes": self.used_bytes,
             "peak_used_bytes": self.peak_used_bytes,
             "capacity_bytes": self.capacity_bytes,
-            "footprint_bytes": self._allocator.footprint_bytes,
-            "chunks_released": self._allocator.chunks_released,
             "pages_resident": len(self._pages),
             "pages_reclaimed": self.pages_reclaimed,
             "reclaimable_bytes": self.reclaimable_bytes,

@@ -30,11 +30,16 @@ Lifetime contract with the arena:
   that never blocks admission (both admission gates exclude them).
 
 Everything is deterministic: the LRU clock is a logical counter bumped
-per lookup/insert, and eviction ties break on ``page_id``.
+per lookup/insert, and eviction ties break on ``page_id``.  Candidate
+leaves sit in a lazy min-heap keyed ``(last_used, page_id)``: a touch or
+a newly exposed leaf pushes a fresh entry, and entries made stale by a
+later touch, a new child or an eviction are dropped when popped, so one
+victim costs O(log n) instead of a scan over every node.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .kv_arena import KVArenaError, KVCacheArena, KVPage
@@ -67,7 +72,12 @@ class RadixPrefixIndex:
         self.page_tokens = arena.page_tokens
         arena.attach_index(self)
         self._root_children: Dict[Tuple[int, ...], _Node] = {}
-        self._nodes: List[_Node] = []  # insertion order, for iteration
+        self._nodes: Dict[int, _Node] = {}  # page_id -> node, insertion order
+        # Lazy LRU heap of (last_used, page_id, seq, node); every leaf has
+        # an entry carrying its current ``last_used`` (``seq`` only keeps
+        # duplicate entries of one node from comparing nodes).
+        self._heap: List[Tuple[int, int, int, _Node]] = []
+        self._seq = 0
         self._clock = 0
         self.lookups = 0
         self.hits = 0
@@ -109,6 +119,8 @@ class RadixPrefixIndex:
             pages.append(child.page)
             node = child
             children = child.children
+        if node is not None:
+            self._push_leaf(node)
         matched = len(pages) * self.page_tokens
         if pages:
             self.hits += 1
@@ -144,47 +156,74 @@ class RadixPrefixIndex:
                 self.arena.index_ref(page)
                 node = _Node(key, page, parent)
                 children[key] = node
-                self._nodes.append(node)
+                self._nodes[page.page_id] = node
                 added += 1
             node.last_used = self._clock
             parent = node
             children = node.children
+        if parent is not None:
+            self._push_leaf(parent)
         self.pages_inserted += added
         return added
 
     # -- eviction -------------------------------------------------------------
 
-    def _evictable(self, node: _Node) -> bool:
-        # Unpinned (index holds the only reference) and a leaf: interior
-        # pages stay until their subtree drains, keeping the cached set
-        # prefix-closed.
-        return not node.children and node.page.refcount == 1
+    def _push_leaf(self, node: _Node) -> None:
+        """Record a leaf's current LRU key.  Interior nodes are skipped:
+        they are pushed when their last child is evicted.  The heap is
+        rebuilt from the live leaves once stale entries dominate it."""
+        if node.children:
+            return
+        if len(self._heap) > 2 * len(self._nodes) + 64:
+            self._heap = []
+            for leaf in self._nodes.values():
+                if not leaf.children:
+                    self._heap.append((leaf.last_used, leaf.page.page_id,
+                                       self._seq, leaf))
+                    self._seq += 1
+            heapq.heapify(self._heap)  # repro: allow(DET405) LRU order, not events
+            return
+        heapq.heappush(self._heap, (node.last_used, node.page.page_id,  # repro: allow(DET405) LRU order, not events
+                                    self._seq, node))
+        self._seq += 1
 
     def _evict(self, node: _Node) -> None:
-        siblings = (node.parent.children if node.parent is not None
+        parent = node.parent
+        siblings = (parent.children if parent is not None
                     else self._root_children)
         del siblings[node.key]
-        self._nodes.remove(node)
+        del self._nodes[node.page.page_id]
         self.pages_evicted += 1
         self.arena.index_unref(node.page)
+        if parent is not None:
+            self._push_leaf(parent)
 
     def reclaim(self, tokens_needed: int) -> int:
         """Evict LRU unpinned leaves until ``tokens_needed`` tokens of
         page room are free (or no candidate remains).  Cascades upward:
-        evicting a leaf can expose its parent.  Returns tokens freed."""
+        evicting a leaf can expose its parent.  Returns tokens freed.
+
+        Victims leave in ascending ``(last_used, page_id)`` order among
+        the unpinned leaves at each step.  Pinned leaves (a live region
+        also references the page) are set aside and re-queued when the
+        reclaim ends — nothing here can unpin them."""
         freed = 0
-        while freed < tokens_needed:
-            victim: Optional[_Node] = None
-            for node in self._nodes:
-                if not self._evictable(node):
-                    continue
-                if victim is None or (node.last_used, node.page.page_id) \
-                        < (victim.last_used, victim.page.page_id):
-                    victim = node
-            if victim is None:
-                break
-            freed += victim.page.tokens
-            self._evict(victim)
+        pinned: List[Tuple[int, int, int, _Node]] = []
+        while freed < tokens_needed and self._heap:
+            entry = heapq.heappop(self._heap)  # repro: allow(DET405) LRU order, not events
+            last_used, page_id, _, node = entry
+            # Only unpinned leaves go: interior pages stay until their
+            # subtree drains, keeping the cached set prefix-closed.
+            if (self._nodes.get(page_id) is not node or node.children
+                    or node.last_used != last_used):
+                continue  # evicted, interior, or touched since the push
+            if node.page.refcount != 1:  # a live region holds it too
+                pinned.append(entry)
+                continue
+            freed += node.page.tokens
+            self._evict(node)
+        for entry in pinned:
+            heapq.heappush(self._heap, entry)  # repro: allow(DET405) LRU order, not events
         return freed
 
     def clear(self) -> int:
@@ -195,7 +234,7 @@ class RadixPrefixIndex:
 
     def resident_pages(self) -> List[KVPage]:
         """Every page the index currently references (refcount audit)."""
-        return [node.page for node in self._nodes]
+        return [node.page for node in self._nodes.values()]
 
     def stats(self) -> Dict[str, int]:
         """Deterministic counters (read by bench and the sanitizer)."""

@@ -186,6 +186,7 @@ class TestKvArenaScenario:
                              page_tokens=4)
         arena.admit(0, 4, 8)
         arena.admit(1, 4, 8)
-        a, b = arena.last_records[0].name, arena.last_records[1].name
-        arena.last_plan.placements[b] = arena.last_plan.placements[a]
+        plan, records = arena.plan()
+        a, b = records[0].name, records[1].name
+        plan.placements[b] = plan.placements[a]
         assert any("alias" in p or "overlap" in p for p in arena.verify())

@@ -32,6 +32,21 @@ class TestQuantizeSymmetric:
         assert (q == 0).all()
         assert scale == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_amax_has_a_nonzero_scale(self):
+        # amax / 127 underflows to 0 in float32; the divide must not see it.
+        q, scale = quantize_symmetric(np.array([1e-45], np.float32))
+        assert scale > 0 and np.isfinite(scale)
+        assert np.allclose(dequantize(q, scale), [1e-45], atol=scale)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_channel_has_a_nonzero_scale(self):
+        w = np.array([[1e-45, 0.0, 1.0], [-1e-45, 0.0, -2.0]], np.float32)
+        q, scale = quantize_symmetric(w, axis=1)
+        assert (scale > 0).all() and np.isfinite(scale).all()
+        assert (q[:, 1] == 0).all() and scale[0, 1] == 1.0
+        assert np.abs(q[:, 2]).max() == INT8_MAX
+
     def test_per_channel_scales(self, rng):
         w = rng.normal(0, 1, (4, 3)).astype(np.float32)
         w[:, 2] *= 100  # one loud channel

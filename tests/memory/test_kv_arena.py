@@ -223,9 +223,9 @@ class TestPlansAndVerify:
         a = arena(capacity_tokens=512, page_tokens=8)
         for i in range(4):
             a.admit(i, prompt_tokens=16, max_total_tokens=32)
-        plan = a.last_plan
+        plan, records = a.plan()
         spans = []
-        for rec in a.last_records:
+        for rec in records:
             p = plan.placements[rec.name]
             spans.append((p.chunk_id, p.offset, p.offset + rec.size))
         for i, (c1, s1, e1) in enumerate(spans):

@@ -1,6 +1,10 @@
 """Radix prefix index + copy-on-write page sharing on the KV arena."""
 
+from typing import List, Optional
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.memory import (
     KVArenaError,
@@ -285,3 +289,151 @@ class TestPreemptRestoreSharedPages:
         with pytest.raises(KVArenaError, match="not resident"):
             other.admit(0, prompt_tokens=24, max_total_tokens=24,
                         shared_pages=pages)
+
+
+# -- heap-ordered reclaim vs. the linear-scan oracle ---------------------------
+#
+# ``reclaim`` keeps candidate leaves in a lazy min-heap.  The oracle is the
+# original brute-force reclaim: for each victim, scan every node and take
+# the unpinned leaf with the smallest ``(last_used, page_id)``.  Two
+# arena+index pairs replay one random trace of admit / append / release /
+# insert / lookup / reclaim operations; the eviction sequences must match
+# victim for victim, and the arena's plan + refcount audit must stay clean
+# after every step.
+
+
+class HeapIndex(RadixPrefixIndex):
+    """The index under test, unchanged apart from the eviction log."""
+
+    def __init__(self, arena: KVCacheArena) -> None:
+        super().__init__(arena)
+        self.victims: List[int] = []
+
+    def _evict(self, node) -> None:
+        self.victims.append(node.page.page_id)
+        super()._evict(node)
+
+
+class ScanIndex(HeapIndex):
+    """Oracle: the original O(nodes)-per-victim reclaim."""
+
+    def reclaim(self, tokens_needed: int) -> int:
+        freed = 0
+        while freed < tokens_needed:
+            victim: Optional[object] = None
+            for node in self._nodes.values():
+                if node.children or node.page.refcount != 1:
+                    continue
+                if victim is None or (node.last_used, node.page.page_id) \
+                        < (victim.last_used, victim.page.page_id):
+                    victim = node
+            if victim is None:
+                break
+            freed += victim.page.tokens
+            self._evict(victim)
+        return freed
+
+
+# Prompts are drawn from a few shared heads so paths branch and overlap.
+HEADS = [tuple(range(100 * h, 100 * h + 3 * P)) for h in range(3)]
+
+prompt = st.tuples(st.integers(0, len(HEADS) - 1), st.integers(1, 3 * P),
+                   st.lists(st.integers(0, 3), max_size=P))
+op = st.one_of(
+    st.tuples(st.just("admit"), prompt, st.integers(0, 2 * P)),
+    st.tuples(st.just("append"), st.integers(0, 7), st.integers(1, 2 * P)),
+    st.tuples(st.just("release"), st.integers(0, 7)),
+    st.tuples(st.just("insert"), st.integers(0, 7)),
+    st.tuples(st.just("lookup"), prompt, st.integers(1, 40)),
+    st.tuples(st.just("reclaim"), st.integers(1, 6 * P)),
+)
+
+
+def _ids(spec) -> tuple:
+    head, keep, tail = spec
+    return HEADS[head][:keep] + tuple(tail)
+
+
+class Twin:
+    """One arena + index replaying the trace."""
+
+    def __init__(self, index_cls) -> None:
+        self.arena = arena(capacity_tokens=12 * P, watermark=0.75)
+        self.index = index_cls(self.arena)
+        self.prompts = {}  # live req_id -> prompt ids
+        self.next_id = 0
+
+    def live(self, k: int) -> Optional[int]:
+        if not self.prompts:
+            return None
+        return sorted(self.prompts)[k % len(self.prompts)]
+
+    def step(self, operation) -> object:
+        kind = operation[0]
+        kv, index = self.arena, self.index
+        if kind == "admit":
+            ids = _ids(operation[1])
+            matched, pages = index.lookup(ids)
+            req = self.next_id
+            self.next_id += 1
+            if not kv.admit(req, len(ids), len(ids) + operation[2],
+                               shared_pages=pages):
+                return (matched, False)
+            self.prompts[req] = ids
+            index.insert(ids, kv.region_of(req).pages[:len(ids) // P])
+            return (matched, True)
+        if kind == "append":
+            req = self.live(operation[1])
+            if req is None:
+                return None
+            region = kv.region_of(req)
+            room = region.worst_case_tokens - region.tokens
+            if room <= 0:
+                return 0
+            kv.append(req, min(room, operation[2]))
+            return region.tokens
+        if kind == "release":
+            req = self.live(operation[1])
+            if req is not None:
+                kv.release(req)
+                del self.prompts[req]
+            return req
+        if kind == "insert":
+            req = self.live(operation[1])
+            if req is None:
+                return None
+            ids = self.prompts[req]
+            return index.insert(ids, kv.region_of(req).pages[:len(ids) // P])
+        if kind == "lookup":
+            ids = _ids(operation[1])
+            return [index.lookup(ids)[0] for _ in range(operation[2])][-1]
+        return index.reclaim(operation[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(op, max_size=60))
+# A leaf touched after an older leaf was published must outlive it: its
+# first heap entry goes stale and must not evict it early.
+@example([("admit", (0, 3 * P, [0]), 0), ("admit", (1, 3 * P, [0]), 0),
+          ("release", 0), ("release", 0), ("lookup", (0, 3 * P, [1]), 1),
+          ("reclaim", P)])
+def test_heap_reclaim_matches_linear_scan(trace):
+    heap, scan = Twin(HeapIndex), Twin(ScanIndex)
+    for operation in trace:
+        assert heap.step(operation) == scan.step(operation)
+        assert heap.index.victims == scan.index.victims
+        assert heap.arena.verify() == []
+        assert heap.index.stats() == scan.index.stats()
+    assert heap.index.clear() == scan.index.clear()
+    assert heap.index.victims == scan.index.victims
+    assert heap.arena.verify() == []
+
+
+def test_heap_stays_bounded_under_repeated_lookups():
+    # Every touch of a leaf pushes an entry; the heap is rebuilt from the
+    # live leaves before stale entries can pile up.
+    twin = Twin(HeapIndex)
+    twin.step(("admit", (0, 3 * P, []), 0))
+    for _ in range(500):
+        twin.index.lookup(HEADS[0] + (0,))
+    assert len(twin.index._heap) <= 2 * len(twin.index) + 65

@@ -11,7 +11,12 @@ must drop by at least 25% — the headline the experiment exists to show.
 import pytest
 
 from repro.gpusim import RTX_2060
-from repro.memory import KVCacheArena, kv_bytes_per_token
+from repro.memory import (
+    KVCacheArena,
+    TurboAllocator,
+    kv_arena,
+    kv_bytes_per_token,
+)
 from repro.models import build_decode_step_graph, build_prefill_graph, tiny_gpt
 from repro.runtime import TURBO_CHARACTERISTICS, GenerationRuntime
 from repro.serving import (
@@ -139,6 +144,40 @@ class TestWins:
         assert m.prefix_tokens_reused == 0
         assert m.prefill_flops_saved == 0.0
         assert srv.prefix_index is None
+
+
+class TestArenaHotPath:
+    def test_serve_never_plans_and_verify_plans_once(self, runtime,
+                                                     monkeypatch):
+        """Alg. 1 is an audit view: serving runs no plan, ``verify()``
+        builds one, and ``peak_used_bytes`` is the largest residency seen
+        at the end of any arena mutation."""
+        plans = []
+        real_plan = TurboAllocator.plan
+
+        def counting_plan(allocator, records):
+            plans.append(len(records))
+            return real_plan(allocator, records)
+
+        monkeypatch.setattr(TurboAllocator, "plan", counting_plan)
+        seen = []
+        monkeypatch.setattr(kv_arena, "_arena_hooks", [
+            lambda arena, op, req_id, tokens: seen.append(arena.used_bytes)])
+        # A tight arena forces index reclaim and preemption mid-serve.
+        _, srv, m = serve(runtime, True, rate=150.0, capacity_tokens=256,
+                          chunk_tokens=8,
+                          preemption=KVPreemptionPolicy(
+                              max_victims_per_event=2))
+        assert m.prefix_hits > 0 and m.preemptions > 0
+        assert srv.arena.pages_reclaimed > 0
+        assert plans == []
+        assert srv.arena.peak_used_bytes == max(seen)
+        resident = srv.arena.stats()["pages_resident"]
+        assert resident > 0
+        assert srv.arena.verify() == []
+        assert plans == [resident]
+        assert srv.arena.verify() == []  # cached until the next mutation
+        assert plans == [resident]
 
 
 class TestWorkloadGenerator:
