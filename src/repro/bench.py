@@ -17,8 +17,11 @@ and a *baseline* configuration and records
   counters also embed the equivalence checks — the fast path must
   reproduce the baseline's outputs bit for bit before its time is
   accepted.
-* ``wallclock`` — elapsed seconds and derived throughputs/speedups.
-  These naturally vary run to run and are excluded from the diff.
+* ``wallclock`` — elapsed seconds and derived throughputs/speedups
+  (for the ``gen`` profile, which compares different systems rather than
+  a fast path and its baseline: host seconds per simulated second of each
+  system).  These naturally vary run to run and are excluded from the
+  diff.
 
 Baselines are the *seed implementations*: the interpretive per-node cost
 walk (``use_compiled=False``), no records memo, no plan cache, the
@@ -606,11 +609,11 @@ def _bench_gen(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, obj
     t0 = _now()
     baseline = _gen_sweep(bench, mix, rates, duration_s, seed,
                           "request-level")
-    baseline_s = _now() - t0
+    request_level_s = _now() - t0
 
     t0 = _now()
     fast = _gen_sweep(bench, mix, rates, duration_s, seed, "continuous")
-    fast_s = _now() - t0
+    continuous_s = _now() - t0
     # Simulated time is a pure function of the inputs: an immediate rerun
     # must reproduce the sweep bit for bit (fresh arena per run).
     rerun = _gen_sweep(bench, mix, rates, duration_s, seed, "continuous")
@@ -635,22 +638,26 @@ def _bench_gen(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, obj
     # Prefix-cache sweep: multi-tenant prefix-population workloads at the
     # top rate, cache off vs on per sharing ratio.  Token streams must be
     # byte-identical — the cache skips prefill work, never changes tokens.
-    t0 = _now()
+    # Only the cache-on serves count as the prefix system's host time.
     top_rate = max(rates)
     prefix_points: Dict[str, object] = {}
     identical_prefix_streams = True
+    prefix_s = 0.0
     for sharing in PREFIX_SHARING_RATIOS:
         off = _prefix_workload(top_rate, duration_s, seed, mix, sharing)
         m_off = bench.run_continuous(off, duration_s)
         on = _prefix_workload(top_rate, duration_s, seed, mix, sharing)
+        t0 = _now()
         m_on = bench.run_continuous(on, duration_s, prefix_cache=True)
+        prefix_s += _now() - t0
         identical_prefix_streams = identical_prefix_streams and \
             _gen_token_stream(off) == _gen_token_stream(on)
         point = _gen_point_summary(m_on)
         point["ttft_p99_ms_cache_off"] = m_off.ttft.p99_ms
         prefix_points[str(sharing)] = point
-    prefix_s = _now() - t0
 
+    sweep_sim_s = duration_s * len(rates)
+    prefix_sim_s = duration_s * len(PREFIX_SHARING_RATIOS)
     top = str(max(rates))
     gain = (fast["points"][top]["response_throughput"]
             / max(baseline["points"][top]["response_throughput"], 1e-9))
@@ -674,11 +681,19 @@ def _bench_gen(profile: Dict[str, object], seed: int) -> Dict[str, Dict[str, obj
             "ttft_p99_gain_at_top_rate": p99_gain,
         },
         "wallclock": {
-            "baseline_s": baseline_s,
-            "fast_s": fast_s,
+            "request_level_s": request_level_s,
+            "continuous_s": continuous_s,
             "chunked_s": chunked_s,
             "prefix_s": prefix_s,
-            "speedup": baseline_s / fast_s,
+            # The systems differ, so their host times are not a speedup:
+            # each is normalised by the simulated seconds of offered load
+            # it served.
+            "host_s_per_sim_s": {
+                "request_level": request_level_s / sweep_sim_s,
+                "continuous": continuous_s / sweep_sim_s,
+                "chunked": chunked_s / sweep_sim_s,
+                "prefix": prefix_s / prefix_sim_s,
+            },
         },
     }
 
@@ -718,13 +733,17 @@ def run_bench(profile_name: str = "smoke", seed: int = 0,
                    for k, v in profile.items()},
         "counters": {name: s["counters"] for name, s in sections.items()},
         "wallclock": {name: s["wallclock"] for name, s in sections.items()},
-        "speedups": {name: s["wallclock"]["speedup"]
-                     for name, s in sections.items()},
         "equivalence_ok": all(
             v for name, s in sections.items()
             for k, v in s["counters"].items() if k.startswith("identical_")
         ),
     }
+    if "gen" in sections:
+        payload["host_s_per_sim_s"] = \
+            sections["gen"]["wallclock"]["host_s_per_sim_s"]
+    else:
+        payload["speedups"] = {name: s["wallclock"]["speedup"]
+                               for name, s in sections.items()}
     return payload
 
 
@@ -791,6 +810,11 @@ def format_bench(payload: Dict[str, object]) -> str:
     wall = payload["wallclock"]
     for name in wall:
         w = wall[name]
+        if "host_s_per_sim_s" in w:
+            per_system = ", ".join(f"{system} {v:.3f}" for system, v
+                                   in w["host_s_per_sim_s"].items())
+            lines.append(f"  {name:<10} host s per simulated s: {per_system}")
+            continue
         extra = ""
         if "fast_latency_calls_per_s" in w:
             extra = f", {w['fast_latency_calls_per_s']:,.0f} latency calls/s"
@@ -832,6 +856,9 @@ def verify_host_fast_path(seed: int = 0) -> List[str]:
       runtime factory, bit-exact per kernel;
     * fast ``latency()`` vs. the seed double-``infer()`` path, bit-exact,
       across a shape grid including padding boundaries;
+    * ``GenerationRuntime`` prefill/decode pricing of ``gpt_small`` under
+      Turbo and PyTorch characteristics (see
+      :func:`_verify_generation_pricing`);
     * pruned DP partitions vs. ``DPBatchScheduler``, identical;
     * plan-cached allocator vs. uncached, identical outcomes.
     """
@@ -860,6 +887,7 @@ def verify_host_fast_path(seed: int = 0) -> List[str]:
                     f"{name}: latency({b}, {s}) fast {got!r} != "
                     f"reference {want!r}"
                 )
+    problems.extend(_verify_generation_pricing())
 
     from .serving.request import Request
     from .serving.scheduler import DPBatchScheduler, PrunedDPBatchScheduler
@@ -900,4 +928,67 @@ def verify_host_fast_path(seed: int = 0) -> List[str]:
         problems.append(
             f"allocator: plan-cache outcomes diverge: {ref_out} != {fast_out}"
         )
+    return problems
+
+
+#: Generation shapes ``--verify`` checks: batch x prompt length (prefill)
+#: and batch x cached positions (decode).
+GEN_VERIFY_BATCHES = (1, 2, 7, 16)
+GEN_VERIFY_LENGTHS = (1, 17, 96, 512, 1024)
+
+
+def _verify_generation_pricing() -> List[str]:
+    """``GenerationRuntime`` vs the interpretive walk it replaced.
+
+    For ``gpt_small`` under Turbo and PyTorch characteristics (PyTorch's
+    ``host_dispatch_s * launches`` binds, so a wrong launch count shows):
+
+    * each graph's compiled model vs ``graph_cost``, bit-exact per kernel;
+    * ``prefill_latency`` / ``decode_step_latency`` vs ``graph_cost``
+      drained through a :class:`~repro.gpusim.Stream`, plus the same
+      fixed / per-step overheads, bit-exact.
+    """
+    from .gpusim import RTX_2060, Stream
+    from .models import build_decode_step_graph, build_prefill_graph, gpt_small
+    from .runtime import (
+        PYTORCH_CHARACTERISTICS,
+        TURBO_CHARACTERISTICS,
+        GenerationRuntime,
+        graph_cost,
+        verify_equivalence,
+    )
+
+    config = gpt_small()
+    prefill_graph = build_prefill_graph(config)
+    decode_graph = build_decode_step_graph(config)
+    shapes = [(b, n) for b in GEN_VERIFY_BATCHES for n in GEN_VERIFY_LENGTHS]
+    problems: List[str] = []
+    for chars in (TURBO_CHARACTERISTICS, PYTORCH_CHARACTERISTICS):
+        runtime = GenerationRuntime(prefill_graph, decode_graph, chars,
+                                    RTX_2060, step_overhead_s=0.1e-3)
+
+        def reference(nodes, bindings) -> float:
+            stream = Stream(trace_enabled=False)
+            stream.extend(graph_cost(nodes, bindings, chars, RTX_2060))
+            return max(stream.elapsed_s,
+                       chars.host_dispatch_s * stream.launches)
+
+        phases = (
+            ("prefill", runtime.prefill_graph.nodes, runtime.prefill_model(),
+             runtime.prefill_latency, "seq", chars.fixed_overhead_s),
+            ("decode", runtime.decode_graph.nodes, runtime.decode_model(),
+             runtime.decode_step_latency, "past", runtime.step_overhead_s),
+        )
+        for phase, nodes, model, latency, dim, overhead_s in phases:
+            bindings = [{"batch": b, dim: n} for b, n in shapes]
+            for msg in verify_equivalence(nodes, bindings, chars, RTX_2060,
+                                          compiled=model):
+                problems.append(f"generation/{chars.name}/{phase}: {msg}")
+            for b, n in shapes:
+                got = latency(b, n)
+                want = reference(nodes, {"batch": b, dim: n}) + overhead_s
+                if got != want:
+                    problems.append(
+                        f"generation/{chars.name}: {phase}_latency({b}, {n}) "
+                        f"compiled {got!r} != interpretive {want!r}")
     return problems

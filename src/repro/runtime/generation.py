@@ -17,15 +17,22 @@ per decode stride on the GPU track.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..gpusim import DeviceSpec, Stream
+from ..gpusim import DeviceSpec
 from ..graph import ComputationGraph, fuse_graph
-from .cost import RuntimeCharacteristics, graph_cost
+from .compiled import CompiledCostModel
+from .cost import RuntimeCharacteristics
 
 
 class GenerationRuntime:
-    """Prices prefill + decode for a decoder-only model."""
+    """Prices prefill + decode for a decoder-only model.
+
+    Both graphs are priced through a lazily built
+    :class:`~repro.runtime.compiled.CompiledCostModel` each (one lowering
+    per graph), whose :meth:`~repro.runtime.compiled.CompiledCostModel.total`
+    is bit-identical to draining ``graph_cost`` through a ``Stream``.
+    """
 
     def __init__(
         self,
@@ -51,12 +58,27 @@ class GenerationRuntime:
         self.step_overhead_s = step_overhead_s
         self._prefill_cache: Dict[Tuple[int, int], float] = {}
         self._decode_cache: Dict[Tuple[int, int], float] = {}
+        self._prefill_model: Optional[CompiledCostModel] = None
+        self._decode_model: Optional[CompiledCostModel] = None
 
-    def _run(self, graph: ComputationGraph, bindings: Dict[str, int]) -> float:
-        stream = Stream(trace_enabled=False)
-        stream.extend(graph_cost(graph.nodes, bindings, self.chars, self.device))
-        host_s = self.chars.host_dispatch_s * stream.launches
-        return max(stream.elapsed_s, host_s)
+    def prefill_model(self) -> CompiledCostModel:
+        """The lazily built compiled pricing of the prefill graph."""
+        if self._prefill_model is None:
+            self._prefill_model = CompiledCostModel(
+                self.prefill_graph.nodes, self.chars, self.device)
+        return self._prefill_model
+
+    def decode_model(self) -> CompiledCostModel:
+        """The lazily built compiled pricing of the decode-step graph."""
+        if self._decode_model is None:
+            self._decode_model = CompiledCostModel(
+                self.decode_graph.nodes, self.chars, self.device)
+        return self._decode_model
+
+    def _run(self, model: CompiledCostModel, bindings: Dict[str, int]) -> float:
+        elapsed_s, launches = model.total(bindings)
+        host_s = self.chars.host_dispatch_s * launches
+        return max(elapsed_s, host_s)
 
     def prefill_latency(self, batch: int, prompt_len: int) -> float:
         """Time-to-first-token: one parallel pass over the prompt."""
@@ -67,7 +89,7 @@ class GenerationRuntime:
         key = (batch, prompt_len)
         if key not in self._prefill_cache:
             self._prefill_cache[key] = (
-                self._run(self.prefill_graph, {"batch": batch, "seq": prompt_len})
+                self._run(self.prefill_model(), {"batch": batch, "seq": prompt_len})
                 + self.chars.fixed_overhead_s
             )
         return self._prefill_cache[key]
@@ -79,7 +101,7 @@ class GenerationRuntime:
         key = (batch, past)
         if key not in self._decode_cache:
             self._decode_cache[key] = (
-                self._run(self.decode_graph, {"batch": batch, "past": past})
+                self._run(self.decode_model(), {"batch": batch, "past": past})
                 + self.step_overhead_s
             )
         return self._decode_cache[key]
@@ -88,15 +110,7 @@ class GenerationRuntime:
         self, prompt_len: int, new_tokens: int, batch: int = 1
     ) -> float:
         """End-to-end: prefill + ``new_tokens`` decode steps (strided sum)."""
-        if new_tokens <= 0:
-            raise ValueError(f"new_tokens must be positive, got {new_tokens}")
-        total = self.prefill_latency(batch, prompt_len)
-        step = 0
-        while step < new_tokens:
-            span = min(self.stride, new_tokens - step)
-            total += self.decode_step_latency(batch, prompt_len + step) * span
-            step += self.stride
-        return total
+        return self.generate_timeline(prompt_len, new_tokens, batch).total_s
 
     def tokens_per_second(self, prompt_len: int, new_tokens: int,
                           batch: int = 1) -> float:
@@ -149,7 +163,7 @@ class GenerationRuntime:
                           batch: int = 1, start_s: float = 0.0,
                           tracer=None, metrics=None,
                           system: str = "generation") -> "GenerationTimeline":
-        """Instrumented :meth:`generate_latency`: same strided walk, but
+        """The strided prefill + decode walk behind :meth:`generate_latency`,
         emitting one span per decode stride (plus the prefill span) and
         publishing TTFT/TPOT, all in the caller's simulated time frame."""
         if new_tokens <= 0:
@@ -160,8 +174,6 @@ class GenerationRuntime:
         clock += prefill_s
         ttft_s = clock - start_s
         stride_ends: List[float] = []
-        # Identical strided walk to generate_latency, so the two agree
-        # bit for bit on the total.
         step = 0
         while step < new_tokens:
             span = min(self.stride, new_tokens - step)
@@ -173,8 +185,7 @@ class GenerationRuntime:
             stride_ends.append(clock)
             step += span
         total_s = clock - start_s
-        tpot_s = ((total_s - ttft_s) / new_tokens
-                  if new_tokens > 0 else 0.0)
+        tpot_s = (total_s - ttft_s) / new_tokens
         self.publish_request_metrics(metrics, req_id=-1, ttft_s=ttft_s,
                                      tpot_s=tpot_s, system=system)
         return GenerationTimeline(ttft_s=ttft_s, total_s=total_s,

@@ -154,6 +154,20 @@ class TestGenProfile:
         text = bench.format_bench(gen_payload)
         assert "gen" in text
         assert "throughput" in text
+        assert "host s per simulated s" in text
+
+    def test_host_seconds_per_simulated_second_per_system(self, gen_payload):
+        """Request-level and continuous are different systems, so the gen
+        profile reports each one's host cost, not a speedup."""
+        systems = {"request_level", "continuous", "chunked", "prefix"}
+        wall = gen_payload["wallclock"]["gen"]
+        assert "speedup" not in wall
+        assert "speedups" not in gen_payload
+        assert gen_payload["host_s_per_sim_s"] == wall["host_s_per_sim_s"]
+        assert set(wall["host_s_per_sim_s"]) == systems
+        for system, value in wall["host_s_per_sim_s"].items():
+            assert value > 0
+            assert f"{system} " in bench.format_bench(gen_payload)
 
     def test_chunked_sweep_in_payload(self, gen_payload):
         gen = gen_payload["counters"]["gen"]
